@@ -442,7 +442,7 @@ fn optimized_cycle_loop_reproduces_golden_metrics() {
     assert!(!uni.saturated);
     assert_eq!(uni.metrics.avg_packet_latency, 15.6625);
     assert_eq!(uni.metrics.throughput, 0.08177083333333333);
-    assert_eq!(uni.metrics.energy_pj, 22826.25000000159);
+    assert_eq!(uni.metrics.energy_pj, 22826.25);
     assert_eq!(uni.metrics.injected_flits, 1012);
     assert_eq!(uni.metrics.ejected_flits, 1025);
 
@@ -452,7 +452,7 @@ fn optimized_cycle_loop_reproduces_golden_metrics() {
     assert!(!tra.saturated);
     assert_eq!(tra.metrics.avg_packet_latency, 18.52173913043478);
     assert_eq!(tra.metrics.throughput, 0.060833333333333336);
-    assert_eq!(tra.metrics.energy_pj, 23796.550000001527);
+    assert_eq!(tra.metrics.energy_pj, 23796.550000000003);
     assert_eq!(tra.metrics.injected_flits, 805);
     assert_eq!(tra.metrics.ejected_flits, 820);
 
@@ -511,7 +511,7 @@ fn faulted_golden_metrics_are_pinned() {
     assert!(!xy.saturated);
     assert_eq!(xy.metrics.avg_packet_latency, 16.123456790123456);
     assert_eq!(xy.metrics.throughput, 0.08427083333333334);
-    assert_eq!(xy.metrics.energy_pj, 37925.60000000088);
+    assert_eq!(xy.metrics.energy_pj, 37925.600000000006);
     assert_eq!(xy.metrics.injected_flits, 1981);
     assert_eq!(xy.metrics.ejected_flits, 1668);
     assert_eq!(xy.metrics.dropped_flits, 305);
@@ -526,7 +526,7 @@ fn faulted_golden_metrics_are_pinned() {
     assert!(!oe.saturated);
     assert_eq!(oe.metrics.avg_packet_latency, 16.46961325966851);
     assert_eq!(oe.metrics.throughput, 0.09447916666666667);
-    assert_eq!(oe.metrics.energy_pj, 21783.900000001508);
+    assert_eq!(oe.metrics.energy_pj, 21783.9);
     assert_eq!(oe.metrics.injected_flits, 1058);
     assert_eq!(oe.metrics.ejected_flits, 1002);
     assert_eq!(oe.metrics.dropped_flits, 75);

@@ -69,11 +69,11 @@ pub use error::{SimError, SimResult};
 pub use fault::{FaultEvent, FaultPlan, FaultTarget, LinkState};
 pub use flit::{Flit, FlitKind, Packet, PacketId};
 pub use network::Network;
-pub use power::{EnergyMeter, PowerEvent, PowerModel};
+pub use power::{EnergyMeter, EnergyRates, PowerEvent, PowerModel};
 pub use routing::{RoutingAlgorithm, RoutingTables};
 pub use sim::{RunSummary, Simulator};
 pub use soa::{FabricState, FabricTile};
-pub use stats::{EnergySink, StatsCollector, StatsOp, StatsSnapshot, WindowMetrics};
+pub use stats::{StatsCollector, StatsSnapshot, WindowMetrics};
 pub use topology::{Coord, NodeId, Port, Topology, TopologyKind};
 pub use trace::{PacketTrace, TraceEvent};
 pub use traffic::{

@@ -8,51 +8,49 @@
 //! # Partitioned stepping
 //!
 //! The per-node phase of [`Network::step`] is data-parallel: node `i`
-//! mutates only its own fabric slice, `inj[i]`, and `gates[i]`, and every
-//! cross-node effect (flit deliveries, credit returns) is buffered and
-//! applied afterwards — the one-cycle link latency *is* the boundary
-//! exchange. Router state lives in the flat structure-of-arrays
-//! [`FabricState`], so `SimConfig::partitions` splits the fabric into
-//! contiguous node-range tiles — literal contiguous slices of every state
-//! array — stepped concurrently on a persistent thread pool.
+//! mutates only its own fabric slice, `inj[i]`, `gates[i]` and its
+//! forwarded-flit counter, and every cross-node effect (flit deliveries,
+//! credit returns) is buffered and applied afterwards — the one-cycle link
+//! latency *is* the boundary exchange. Router state lives in the flat
+//! structure-of-arrays [`FabricState`], so `SimConfig::partitions` splits
+//! the fabric into contiguous node-range tiles — literal contiguous slices
+//! of every state array — stepped concurrently on a persistent thread pool.
 //!
 //! Determinism: tiles never touch the shared [`StatsCollector`]. Each tile
-//! appends the stats mutations it would have applied to a private
-//! [`StatsOp`] log, and a serial commit phase replays the logs in tile
-//! order — which, because tiles are contiguous ascending ranges, is exactly
-//! the serial per-node mutation order (same float-addition order, same
-//! event order). Every partition count, including 1, runs this same
-//! log-and-replay path, so the partition knob cannot perturb results:
-//! reports are byte-identical across `partitions` ∈ {1, 2, 4, ...} (pinned
-//! by the differential tests in `tests/partitions.rs`).
+//! records into a private counter block (a collector of its own), and after
+//! the per-node phase the blocks fold into the shared collector by integer
+//! addition. Everything a tile records is a count — energy included, since
+//! the [`EnergyMeter`](crate::power::EnergyMeter) is an integer ledger
+//! converted to pJ only when read — or an integer-valued latency sum, so the
+//! fold is exact in any grouping. Every partition count, including 1, runs
+//! this same path, and reports are byte-identical across `partitions` ∈
+//! {1, 2, 4, ...} by construction (pinned by the differential tests in
+//! `tests/partitions.rs`).
 //!
 //! # Active-router worklist
 //!
 //! The per-node loop skips routers that are provably inert this cycle: no
-//! buffered flits and no source-queue backlog. Such a node's entire serial
-//! effect is one leakage record and (possibly) a clock-gate phase advance —
-//! it cannot inject, route, or move anything. Skipped nodes are coalesced
-//! into [`StatsOp::IdleLeakageRun`] ops that the commit phase expands into
-//! the exact per-node leakage records of a full walk, and gate ticks are
-//! elided only while every gate provably sits at its zero-phase fixpoint
-//! (nominal frequency since reset — the `gates_pristine` flag), so reports
-//! stay byte-identical. A delivery, injection, or fault event lands a node
-//! back in the active set no later than the cycle it must act on it:
-//! deliveries and offered packets raise `occ`/backlog at commit time, and
-//! dead routers are handled before the idle test. A forced step-everyone
-//! mode ([`Network::set_step_all`]) drives the differential tests that pin
-//! the equivalence.
+//! buffered flits and no source-queue backlog. Such a node's entire effect
+//! is one idle leakage count and (possibly) a clock-gate phase advance — it
+//! cannot inject, route, or move anything. Gate ticks are elided only while
+//! every gate provably sits at its zero-phase fixpoint (nominal frequency
+//! since reset — the `gates_pristine` flag), so reports stay byte-identical.
+//! A delivery, injection, or fault event lands a node back in the active set
+//! no later than the cycle it must act on it: deliveries and offered packets
+//! raise `occ`/backlog at commit time, and dead routers are handled before
+//! the idle test. A forced step-everyone mode ([`Network::set_step_all`])
+//! drives the differential tests that pin the equivalence.
 
 use crate::config::{SimConfig, SwitchArb};
 use crate::dvfs::{ClockGate, RegionMap, ThrottleEvent, VfTable};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, LinkState};
 use crate::flit::{Flit, Packet, PacketId};
-use crate::power::{PowerEvent, PowerModel};
+use crate::power::{EnergyRates, PowerEvent};
 use crate::router::{RouterCtx, RouterEvent};
 use crate::routing::{RoutingAlgorithm, RoutingTables};
 use crate::soa::{FabricState, FabricTile};
-use crate::stats::{EnergySink, StatsCollector, StatsOp};
+use crate::stats::StatsCollector;
 use crate::topology::{NodeId, Port, Topology, TopologyKind};
 use crate::vc::OutputVcState;
 use std::cell::UnsafeCell;
@@ -149,7 +147,8 @@ pub struct Network {
     fabric: FabricState,
     inj: Vec<InjectionQueue>,
     gates: Vec<ClockGate>,
-    power: PowerModel,
+    /// Per-unit energies the collector's ledger converts counts with.
+    rates: EnergyRates,
     vf_table: VfTable,
     regions: RegionMap,
     /// Level requested per region (by the controller/agent).
@@ -164,11 +163,6 @@ pub struct Network {
     /// Region index per node (precomputed once; the cycle loop needs it for
     /// every node every cycle).
     region_by_node: Vec<usize>,
-    /// Dynamic-energy multiplier per region at its current effective level,
-    /// recomputed only when an effective level changes.
-    region_dynamic_scale: Vec<f64>,
-    /// Leakage multiplier per region at its current effective level.
-    region_leakage_scale: Vec<f64>,
     /// Timed link/router failures (empty on a pristine fabric).
     fault_plan: FaultPlan,
     /// Cycles at which the active fault set changes, sorted ascending.
@@ -216,18 +210,29 @@ struct StepScratch {
 }
 
 /// Everything a tile produces during the per-node phase: buffered cross-node
-/// effects (deliveries, credits) plus the ordered log of stats mutations to
-/// replay serially in the commit phase.
-#[derive(Debug, Default)]
+/// effects (deliveries, credits) plus the counter block folded into the
+/// shared collector afterwards.
+#[derive(Debug)]
 struct TileOutbox {
-    /// Stats mutations in exact per-node order (see module docs).
-    ops: Vec<StatsOp>,
+    /// This cycle's counts (see module docs); zeroed by the fold.
+    stats: StatsCollector,
     /// Flits leaving this tile's routers (possibly into another tile).
     deliveries: Vec<Delivery>,
     /// Credits owed to upstream routers (possibly in another tile).
     credits: Vec<CreditReturn>,
     /// Reusable router-event buffer for this tile's step loop.
     events: Vec<RouterEvent>,
+}
+
+impl TileOutbox {
+    fn new(num_regions: usize) -> Self {
+        TileOutbox {
+            stats: StatsCollector::new(num_regions),
+            deliveries: Vec::new(),
+            credits: Vec::new(),
+            events: Vec::new(),
+        }
+    }
 }
 
 /// Immutable, cross-tile state the per-node phase reads. Everything here is
@@ -239,11 +244,10 @@ struct TileShared<'a> {
     routing: RoutingAlgorithm,
     arb: SwitchArb,
     tables: Option<&'a RoutingTables>,
-    power: &'a PowerModel,
     links_out: &'a [usize],
     region_by_node: &'a [usize],
-    region_dynamic_scale: &'a [f64],
-    region_leakage_scale: &'a [f64],
+    /// Effective V/F level per region.
+    region_levels: &'a [usize],
     link_state: &'a LinkState,
     has_faults: bool,
     cycle: u64,
@@ -255,14 +259,15 @@ struct TileShared<'a> {
 }
 
 /// One tile's disjoint mutable slice of the fabric: the SoA router-state
-/// slices, source queues, and clock gates for the contiguous node range
-/// starting at `base`.
+/// slices, source queues, clock gates and forwarded-flit counters for the
+/// contiguous node range starting at `base`.
 #[derive(Debug)]
 struct TileTask<'a> {
     base: usize,
     fabric: FabricTile<'a>,
     inj: &'a mut [InjectionQueue],
     gates: &'a mut [ClockGate],
+    forwarded: &'a mut [u64],
     out: &'a mut TileOutbox,
 }
 
@@ -430,7 +435,6 @@ impl Network {
         let region_by_node: Vec<usize> =
             topo.nodes().map(|n| regions.region_of(&topo, n)).collect();
         let max_vf = config.vf_table.levels()[max_level];
-        let nominal = config.vf_table.nominal_voltage();
         let num_regions = regions.num_regions();
         let fault_plan = config.fault_plan.clone();
         let fault_boundaries = fault_plan.boundaries();
@@ -449,7 +453,7 @@ impl Network {
             fabric,
             inj,
             gates,
-            power: config.power,
+            rates: EnergyRates::new(&config.power, &config.vf_table),
             vf_table: config.vf_table.clone(),
             region_levels: vec![max_level; num_regions],
             effective_levels: vec![max_level; num_regions],
@@ -457,8 +461,6 @@ impl Network {
             regions,
             links_out,
             region_by_node,
-            region_dynamic_scale: vec![max_vf.dynamic_scale(nominal); num_regions],
-            region_leakage_scale: vec![max_vf.leakage_scale(nominal); num_regions],
             fault_plan,
             fault_boundaries,
             next_fault_boundary: 0,
@@ -581,9 +583,6 @@ impl Network {
             if eff != self.effective_levels[region] {
                 self.effective_levels[region] = eff;
                 let vf = self.vf_table.level(eff).expect("effective level valid");
-                let nominal = self.vf_table.nominal_voltage();
-                self.region_dynamic_scale[region] = vf.dynamic_scale(nominal);
-                self.region_leakage_scale[region] = vf.leakage_scale(nominal);
                 for (node, &r) in self.region_by_node.iter().enumerate() {
                     if r == region {
                         self.gates[node].set_freq_scale(vf.freq_scale);
@@ -693,10 +692,10 @@ impl Network {
     /// Advance the network one global clock cycle.
     ///
     /// The per-node phase runs tile-by-tile (in parallel when
-    /// `partitions > 1`), logging stats mutations per tile; the commit
-    /// phase then replays those logs and applies deliveries and credits
-    /// serially in tile order. See the module docs for why this makes the
-    /// partition count observationally irrelevant.
+    /// `partitions > 1`), each tile counting into its own block; the blocks
+    /// then fold into `stats`, and deliveries and credits apply serially in
+    /// tile order. See the module docs for why this makes the partition
+    /// count observationally irrelevant.
     pub fn step(&mut self, stats: &mut StatsCollector) {
         if !self.throttles.is_empty() {
             self.sync_effective_levels();
@@ -704,12 +703,23 @@ impl Network {
         if self.has_faults {
             self.apply_fault_boundaries(stats);
         }
+        if !stats.energy.has_rates() {
+            stats.energy.set_rates(self.rates.clone());
+        }
+        let n = self.topo.num_nodes();
+        if stats.node_forwarded.len() < n {
+            stats.node_forwarded.resize(n, 0);
+        }
         // Borrow the reusable per-tile outboxes out of `self` for the cycle
         // (they are drained before being returned, so only their capacity
         // carries over between cycles).
         let mut outboxes = std::mem::take(&mut self.scratch.outboxes);
         if outboxes.len() != self.partitions {
-            outboxes.resize_with(self.partitions, TileOutbox::default);
+            let regions = self.regions.num_regions();
+            outboxes.resize_with(self.partitions, || TileOutbox::new(regions));
+        }
+        for ob in &mut outboxes {
+            ob.stats.window = stats.window;
         }
 
         {
@@ -718,11 +728,9 @@ impl Network {
                 routing: self.routing,
                 arb: self.switch_arb,
                 tables: self.tables.as_ref(),
-                power: &self.power,
                 links_out: &self.links_out,
                 region_by_node: &self.region_by_node,
-                region_dynamic_scale: &self.region_dynamic_scale,
-                region_leakage_scale: &self.region_leakage_scale,
+                region_levels: &self.effective_levels,
                 link_state: &self.link_state,
                 has_faults: self.has_faults,
                 cycle: self.cycle,
@@ -730,7 +738,6 @@ impl Network {
                 gates_pristine: self.gates_pristine,
             };
             // Carve the fabric into disjoint contiguous slices, one per tile.
-            let n = self.topo.num_nodes();
             let mut bounds = Vec::with_capacity(self.partitions + 1);
             bounds.push(0);
             for t in 0..self.partitions {
@@ -739,6 +746,7 @@ impl Network {
             let mut tasks: Vec<TileTask<'_>> = Vec::with_capacity(self.partitions);
             let mut inj = self.inj.as_mut_slice();
             let mut gates = self.gates.as_mut_slice();
+            let mut forwarded = &mut stats.node_forwarded[..n];
             let mut outs = outboxes.as_mut_slice();
             for (t, fabric) in self.fabric.split_tiles(&bounds).into_iter().enumerate() {
                 let base = bounds[t];
@@ -747,6 +755,8 @@ impl Network {
                 inj = rest;
                 let (g, rest) = gates.split_at_mut(len);
                 gates = rest;
+                let (f, rest) = forwarded.split_at_mut(len);
+                forwarded = rest;
                 let (o, rest) = outs.split_at_mut(1);
                 outs = rest;
                 tasks.push(TileTask {
@@ -754,6 +764,7 @@ impl Network {
                     fabric,
                     inj: q,
                     gates: g,
+                    forwarded: f,
                     out: &mut o[0],
                 });
             }
@@ -778,33 +789,11 @@ impl Network {
             }
         }
 
-        // Commit phase (serial). Tiles are contiguous ascending node ranges,
-        // so replaying/applying each outbox in tile order reproduces the
-        // exact serial per-node order of stats mutations, deliveries, and
-        // credits.
-        let n = self.topo.num_nodes();
+        // Commit phase (serial): fold the counter blocks, then apply
+        // deliveries and credits in tile order — ascending node order, the
+        // order a single tile would have produced them in.
         for ob in &mut outboxes {
-            for op in ob.ops.drain(..) {
-                match op {
-                    // Expand a coalesced idle run into the exact per-node
-                    // leakage records a full walk would have produced: same
-                    // calls, same order, same floats. Idle means zero
-                    // occupancy and backlog, so the serial gating condition
-                    // reduces to the fraction check.
-                    StatsOp::IdleLeakageRun { from, to } => {
-                        for i in from..to {
-                            let mut leak = self.region_leakage_scale[self.region_by_node[i]];
-                            if self.power.idle_leakage_fraction < 1.0 {
-                                leak *= self.power.idle_leakage_fraction;
-                            }
-                            stats
-                                .energy
-                                .record_leakage(&self.power, self.links_out[i], leak);
-                        }
-                    }
-                    op => stats.apply(op, &self.power, n, self.cycle),
-                }
-            }
+            stats.absorb(&mut ob.stats);
         }
         {
             let mut tile = self.fabric.tile();
@@ -816,9 +805,8 @@ impl Network {
                     let mut ctx = RouterCtx {
                         topo: &self.topo,
                         routing: self.routing,
-                        power: &self.power,
-                        energy: EnergySink::Meter(&mut stats.energy),
-                        dynamic_scale: self.region_dynamic_scale[self.region_by_node[d.to.0]],
+                        energy: &mut stats.energy,
+                        level: self.effective_levels[self.region_by_node[d.to.0]],
                         faults: None,
                         arb: self.switch_arb,
                         tables: self.tables.as_ref(),
@@ -996,84 +984,54 @@ fn crosses_dateline_rev(topo: &Topology, to: NodeId, in_port: Port) -> bool {
     crosses_dateline(topo, from, in_port.opposite())
 }
 
-/// Close the pending idle run, if any, by logging its coalesced leakage op.
-/// Must be called before logging any other node's op (ops replay in log
-/// order, and the run's leakage must land exactly where a full walk would
-/// have put it) and at the end of the tile.
-#[inline]
-fn flush_idle_run(run: &mut Option<(usize, usize)>, ops: &mut Vec<StatsOp>) {
-    if let Some((from, to)) = run.take() {
-        ops.push(StatsOp::IdleLeakageRun { from, to });
-    }
-}
-
-/// Step one tile's node range: the exact serial per-node loop, with all
-/// stats mutations logged to the tile's outbox instead of applied, and all
-/// cross-node effects buffered.
+/// Step one tile's node range: the serial per-node loop, with all stats
+/// counted into the tile's block and all cross-node effects buffered.
 ///
 /// Nodes with no buffered flits and no source backlog are skipped (the
 /// active-router worklist): such a node's pipeline and injection stages are
-/// provably no-ops, so its whole serial effect is one leakage record —
-/// coalesced into an [`StatsOp::IdleLeakageRun`] — plus a clock-gate tick,
-/// elided only while the gates are pristine (see `Network::gates_pristine`).
-/// Occupancy and backlog are stable during the phase (deliveries and
-/// credits commit afterwards; packets are offered before the step), so the
-/// idle test over start-of-cycle values is exact.
+/// provably no-ops, so its whole effect is one idle leakage count plus a
+/// clock-gate tick, elided only while the gates are pristine (see
+/// `Network::gates_pristine`). Occupancy and backlog are stable during the
+/// phase (deliveries and credits commit afterwards; packets are offered
+/// before the step), so the idle test over start-of-cycle values is exact.
 fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
     let mut events = std::mem::take(&mut tile.out.events);
-    let mut idle_run: Option<(usize, usize)> = None;
+    let block = &mut tile.out.stats;
     for k in 0..tile.inj.len() {
         let i = tile.base + k;
         let node = NodeId(i);
         if shared.has_faults && !shared.link_state.is_router_up(node) {
             // A dead router does nothing and consumes nothing; traffic
             // offered at its source queue is unreachable and dropped.
-            flush_idle_run(&mut idle_run, &mut tile.out.ops);
-            drop_source_queue_tile(&mut tile.inj[k], &mut tile.out.ops);
+            drop_source_queue_tile(&mut tile.inj[k], block);
             continue;
         }
+        // Leakage accrues every global cycle regardless of clock gating;
+        // idle routers (empty buffers and source queue) may be power gated
+        // down to a fraction of nominal leakage.
+        let level = shared.region_levels[shared.region_by_node[i]];
         let idle = tile.fabric.occupancy(k) == 0 && tile.inj[k].backlog_flits() == 0;
+        block
+            .energy
+            .record_leakage(shared.links_out[i], level, idle);
         if idle && !shared.step_all {
-            // Worklist skip: log the leakage as part of a coalesced run and
-            // keep the gate phase exact. Nothing else a full walk does for
-            // an idle node has any effect.
-            match &mut idle_run {
-                Some((_, to)) if *to == i => *to = i + 1,
-                _ => {
-                    flush_idle_run(&mut idle_run, &mut tile.out.ops);
-                    idle_run = Some((i, i + 1));
-                }
-            }
+            // Worklist skip: nothing else a full walk does for an idle node
+            // has any effect, bar keeping the gate phase exact.
             if !shared.gates_pristine {
                 tile.gates[k].tick();
             }
             continue;
         }
-        flush_idle_run(&mut idle_run, &mut tile.out.ops);
-        // Leakage accrues every global cycle regardless of clock gating;
-        // idle routers (empty buffers and source queue) may be power
-        // gated down to a fraction of nominal leakage.
-        let region = shared.region_by_node[i];
-        let mut leak = shared.region_leakage_scale[region];
-        if shared.power.idle_leakage_fraction < 1.0 && idle {
-            leak *= shared.power.idle_leakage_fraction;
-        }
-        tile.out.ops.push(StatsOp::Leakage {
-            links: shared.links_out[i],
-            scale: leak,
-        });
         if !tile.gates[k].tick() {
             continue; // clock-gated this cycle
         }
-        let dynamic_scale = shared.region_dynamic_scale[region];
         events.clear();
         {
             let mut ctx = RouterCtx {
                 topo: shared.topo,
                 routing: shared.routing,
-                power: shared.power,
-                energy: EnergySink::Log(&mut tile.out.ops),
-                dynamic_scale,
+                energy: &mut block.energy,
+                level,
                 faults: if shared.has_faults {
                     Some(shared.link_state)
                 } else {
@@ -1100,15 +1058,10 @@ fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
                         in_port: out_port.opposite(),
                         flit,
                     });
-                    tile.out.ops.push(StatsOp::Forward { node: i });
-                    tile.out.ops.push(StatsOp::Energy {
-                        event: PowerEvent::LinkTraversal,
-                        scale: dynamic_scale,
-                    });
+                    tile.forwarded[k] += 1;
+                    block.energy.record(PowerEvent::LinkTraversal, level);
                 }
-                RouterEvent::Eject { flit } => {
-                    tile.out.ops.push(StatsOp::Eject { flit });
-                }
+                RouterEvent::Eject { flit } => block.record_ejection(&flit, shared.cycle),
                 RouterEvent::Credit { in_port, vc } => {
                     tile.out.credits.push(CreditReturn {
                         at: node,
@@ -1116,40 +1069,28 @@ fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
                         vc,
                     });
                 }
-                RouterEvent::Drop { flit } => {
-                    tile.out.ops.push(StatsOp::Drop { flit });
-                }
+                RouterEvent::Drop { flit } => block.record_drop(&flit),
             }
         }
-        try_inject_tile(
-            shared,
-            &mut tile.fabric,
-            k,
-            &mut tile.inj[k],
-            node,
-            &mut tile.out.ops,
-        );
+        try_inject_tile(shared, &mut tile.fabric, k, &mut tile.inj[k], node, block);
     }
-    flush_idle_run(&mut idle_run, &mut tile.out.ops);
     tile.out.events = events;
 }
 
 /// Try to move one flit from the node's source queue into the router's
 /// Local input port, honoring VC ownership and credits (tile-local variant;
-/// the injection and buffer-write stats land in the op log).
+/// the injection and buffer-write stats land in the tile's block).
 fn try_inject_tile(
     shared: &TileShared<'_>,
     fabric: &mut FabricTile<'_>,
     k: usize,
     q: &mut InjectionQueue,
     node: NodeId,
-    ops: &mut Vec<StatsOp>,
+    block: &mut StatsCollector,
 ) {
     let region = shared.region_by_node[node.0];
     let is_torus = shared.topo.kind() == TopologyKind::Torus;
     let cycle = shared.cycle;
-    let scale = shared.region_dynamic_scale[region];
-
     let injected: Option<(Flit, bool)> = {
         if q.current.is_empty() {
             match q.pop_packet() {
@@ -1200,13 +1141,12 @@ fn try_inject_tile(
     };
 
     if let Some((flit, is_tail)) = injected {
-        ops.push(StatsOp::Injection { region, is_tail });
+        block.record_injection(region, is_tail);
         let mut ctx = RouterCtx {
             topo: shared.topo,
             routing: shared.routing,
-            power: shared.power,
-            energy: EnergySink::Log(ops),
-            dynamic_scale: scale,
+            energy: &mut block.energy,
+            level: shared.region_levels[region],
             faults: None,
             arb: shared.arb,
             tables: shared.tables,
@@ -1217,21 +1157,15 @@ fn try_inject_tile(
 
 /// Drop everything waiting at a dead router's source queue: queued packets
 /// and any mid-injection remnant that never reached the network.
-fn drop_source_queue_tile(q: &mut InjectionQueue, ops: &mut Vec<StatsOp>) {
+fn drop_source_queue_tile(q: &mut InjectionQueue, block: &mut StatsCollector) {
     while let Some(p) = q.pop_packet() {
-        ops.push(StatsOp::SourceDrop {
-            packets: 1,
-            flits: p.len_flits as u64,
-        });
+        block.record_source_drop(1, p.len_flits as u64);
     }
     if !q.current.is_empty() {
         // Possible only for a packet that had injected nothing when the
         // router died (otherwise the boundary purge already cleared it),
         // so it still counts as a whole dropped packet.
-        ops.push(StatsOp::SourceDrop {
-            packets: 1,
-            flits: q.current.len() as u64,
-        });
+        block.record_source_drop(1, q.current.len() as u64);
         q.current.clear();
         if let Some(vc) = q.current_vc.take() {
             q.vc_states[vc].owner = None;

@@ -10,6 +10,7 @@
 //! the evaluation is a *ratio* between controllers on the same model (see
 //! DESIGN.md, substitution 2).
 
+use crate::dvfs::VfTable;
 use serde::{Deserialize, Serialize};
 
 /// Energies are in picojoules (pJ), powers in pJ per cycle.
@@ -93,24 +94,24 @@ pub enum PowerEvent {
     LinkTraversal,
 }
 
-/// Accumulates energy over a run, separating dynamic and leakage components.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct EnergyMeter {
-    dynamic_pj: f64,
-    leakage_pj: f64,
-    events: u64,
-}
+impl PowerEvent {
+    /// Number of event kinds (the event axis of the energy ledger).
+    pub const COUNT: usize = 7;
 
-impl EnergyMeter {
-    /// A meter with zero accumulated energy.
-    pub fn new() -> Self {
-        Self::default()
-    }
+    /// Every event kind, in ledger order (`event as usize` is its index).
+    pub const ALL: [PowerEvent; PowerEvent::COUNT] = [
+        PowerEvent::BufferWrite,
+        PowerEvent::BufferRead,
+        PowerEvent::RouteCompute,
+        PowerEvent::VcAlloc,
+        PowerEvent::SwitchArb,
+        PowerEvent::Crossbar,
+        PowerEvent::LinkTraversal,
+    ];
 
-    /// Record one dynamic event at the given voltage scale (`(V/V_nom)²`
-    /// already applied by the caller via [`crate::dvfs::VfLevel::dynamic_scale`]).
-    pub fn record(&mut self, model: &PowerModel, event: PowerEvent, dynamic_scale: f64) {
-        let e = match event {
+    /// Energy of one event at nominal voltage (pJ).
+    fn energy(self, model: &PowerModel) -> f64 {
+        match self {
             PowerEvent::BufferWrite => model.e_buffer_write,
             PowerEvent::BufferRead => model.e_buffer_read,
             PowerEvent::RouteCompute => model.e_route,
@@ -118,87 +119,253 @@ impl EnergyMeter {
             PowerEvent::SwitchArb => model.e_sw_arb,
             PowerEvent::Crossbar => model.e_xbar,
             PowerEvent::LinkTraversal => model.e_link,
-        };
-        self.dynamic_pj += e * dynamic_scale;
-        self.events += 1;
+        }
+    }
+}
+
+/// Outgoing-link counts a router can have (0 through 4 on a mesh or torus):
+/// the link axis of the leakage ledger.
+pub const LINK_SLOTS: usize = 5;
+
+/// Dynamic-event counts of one V/F level, indexed by `PowerEvent as usize`.
+type DynamicRow<T> = [T; PowerEvent::COUNT];
+
+/// Leakage router-cycles of one V/F level, indexed by
+/// [`leakage_index`]`(links, idle)`.
+type LeakageRow<T> = [T; 2 * LINK_SLOTS];
+
+/// Position of the (outgoing links, idle) cell within a leakage row.
+#[inline]
+fn leakage_index(num_links: usize, idle: bool) -> usize {
+    2 * num_links + idle as usize
+}
+
+/// The energy of one unit of every [`EnergyMeter`] cell, in pJ, derived from
+/// a [`PowerModel`] and a [`VfTable`]. The network installs its rates into
+/// the collector it steps; the meter applies them only when read.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct EnergyRates {
+    dynamic: Vec<DynamicRow<f64>>,
+    leakage: Vec<LeakageRow<f64>>,
+}
+
+impl EnergyRates {
+    /// Rates for every level of `table`: an event costs its nominal energy
+    /// times `(V/V_nom)²`; a router-cycle leaks router plus per-link power
+    /// times `V/V_nom`, and an idle one only `idle_leakage_fraction` of it.
+    pub fn new(model: &PowerModel, table: &VfTable) -> Self {
+        let nominal = table.nominal_voltage();
+        let levels = table.levels();
+        let dynamic = levels
+            .iter()
+            .map(|l| PowerEvent::ALL.map(|e| e.energy(model) * l.dynamic_scale(nominal)))
+            .collect();
+        let leakage = levels
+            .iter()
+            .map(|l| {
+                let scale = l.leakage_scale(nominal);
+                let idle_scale = scale * model.idle_leakage_fraction;
+                std::array::from_fn(|i| {
+                    let p = model.p_leak_router + model.p_leak_link * (i / 2) as f64;
+                    p * if i % 2 == 1 { idle_scale } else { scale }
+                })
+            })
+            .collect();
+        EnergyRates { dynamic, leakage }
+    }
+}
+
+/// Counts energy over a run and converts it to pJ when read.
+///
+/// The meter is an integer ledger: dynamic events per (`PowerEvent`, V/F
+/// level) and leakage router-cycles per (outgoing links, V/F level, idle).
+/// Counting is order-independent, so meters filled in any grouping merge
+/// to the same counts — and, because conversion sums the cells in a fixed
+/// order, to the same pJ bit patterns. Reading multiplies each count by its
+/// [`EnergyRates`] entry.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct EnergyMeter {
+    dynamic: Vec<DynamicRow<u64>>,
+    leakage: Vec<LeakageRow<u64>>,
+    rates: EnergyRates,
+}
+
+impl EnergyMeter {
+    /// An empty meter without rates (see [`EnergyMeter::set_rates`]).
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Record one global cycle of leakage for a router with `num_links`
-    /// outgoing links, at the given leakage scale (`V/V_nom`).
-    pub fn record_leakage(&mut self, model: &PowerModel, num_links: usize, leakage_scale: f64) {
-        self.leakage_pj +=
-            (model.p_leak_router + model.p_leak_link * num_links as f64) * leakage_scale;
+    /// Install the rates reads convert counts with.
+    pub fn set_rates(&mut self, rates: EnergyRates) {
+        self.rates = rates;
     }
 
-    /// Total accumulated dynamic energy (pJ).
+    /// Whether rates have been installed.
+    pub fn has_rates(&self) -> bool {
+        !self.rates.dynamic.is_empty()
+    }
+
+    /// Make room for counts at `level`.
+    #[inline]
+    fn reserve_level(&mut self, level: usize) {
+        if level >= self.dynamic.len() {
+            self.dynamic.resize(level + 1, [0; PowerEvent::COUNT]);
+            self.leakage.resize(level + 1, [0; 2 * LINK_SLOTS]);
+        }
+    }
+
+    /// Count one dynamic event at V/F level `level`.
+    #[inline]
+    pub fn record(&mut self, event: PowerEvent, level: usize) {
+        self.reserve_level(level);
+        self.dynamic[level][event as usize] += 1;
+    }
+
+    /// Count one global cycle of leakage for a router with `num_links`
+    /// outgoing links at V/F level `level`; `idle` routers (empty buffers
+    /// and source queue) may be power gated.
+    #[inline]
+    pub fn record_leakage(&mut self, num_links: usize, level: usize, idle: bool) {
+        self.reserve_level(level);
+        self.leakage[level][leakage_index(num_links, idle)] += 1;
+    }
+
+    /// Dynamic events of kind `event` counted at `level`.
+    pub fn dynamic_count(&self, event: PowerEvent, level: usize) -> u64 {
+        self.dynamic.get(level).map_or(0, |row| row[event as usize])
+    }
+
+    /// Leakage router-cycles counted for (`num_links`, `level`, `idle`).
+    pub fn leakage_count(&self, num_links: usize, level: usize, idle: bool) -> u64 {
+        self.leakage
+            .get(level)
+            .map_or(0, |row| row[leakage_index(num_links, idle)])
+    }
+
+    /// Σ count × rate over the cells of one ledger, level by level.
+    fn convert<const N: usize>(counts: &[[u64; N]], rates: &[[f64; N]]) -> f64 {
+        let mut pj = 0.0;
+        for (level, row) in counts.iter().enumerate() {
+            if row.iter().all(|&c| c == 0) {
+                continue;
+            }
+            let rate = rates
+                .get(level)
+                .unwrap_or_else(|| panic!("energy counted at level {level} without rates"));
+            for (&c, &r) in row.iter().zip(rate) {
+                pj += c as f64 * r;
+            }
+        }
+        pj
+    }
+
+    /// Total dynamic energy (pJ).
     pub fn dynamic_pj(&self) -> f64 {
-        self.dynamic_pj
+        Self::convert(&self.dynamic, &self.rates.dynamic)
     }
 
-    /// Total accumulated leakage energy (pJ).
+    /// Total leakage energy (pJ).
     pub fn leakage_pj(&self) -> f64 {
-        self.leakage_pj
+        Self::convert(&self.leakage, &self.rates.leakage)
     }
 
     /// Total energy (pJ).
     pub fn total_pj(&self) -> f64 {
-        self.dynamic_pj + self.leakage_pj
+        self.dynamic_pj() + self.leakage_pj()
     }
 
     /// Number of dynamic events recorded.
     pub fn events(&self) -> u64 {
-        self.events
+        self.dynamic.iter().flatten().sum()
     }
 
-    /// Fold another meter into this one.
+    /// Add another meter's counts to this one (taking its rates if this
+    /// meter has none).
     pub fn merge(&mut self, other: &EnergyMeter) {
-        self.dynamic_pj += other.dynamic_pj;
-        self.leakage_pj += other.leakage_pj;
-        self.events += other.events;
+        if let Some(top) = other.dynamic.len().checked_sub(1) {
+            self.reserve_level(top);
+        }
+        zip_cells(&mut self.dynamic, &other.dynamic, |x, y| *x += y);
+        zip_cells(&mut self.leakage, &other.leakage, |x, y| *x += y);
+        if !self.has_rates() {
+            self.rates = other.rates.clone();
+        }
     }
 
-    /// Difference `self - earlier`, for per-epoch accounting.
+    /// Zero every count, keeping the rates.
+    pub fn clear(&mut self) {
+        self.dynamic.fill([0; PowerEvent::COUNT]);
+        self.leakage.fill([0; 2 * LINK_SLOTS]);
+    }
+
+    /// Difference `self - earlier`, for per-epoch accounting. The result
+    /// converts with this meter's rates (or `earlier`'s, if this one has
+    /// none), so a snapshot taken before any rates were installed still
+    /// diffs correctly.
     ///
     /// # Panics
-    /// Panics (debug builds) if `earlier` is not a prefix of `self` in event
-    /// count, which indicates snapshots were taken out of order.
+    /// Panics if `earlier` holds a count larger than `self`'s, which means
+    /// the snapshots were taken out of order.
     pub fn since(&self, earlier: &EnergyMeter) -> EnergyMeter {
-        debug_assert!(
-            self.events >= earlier.events,
-            "energy snapshots out of order"
-        );
-        EnergyMeter {
-            dynamic_pj: self.dynamic_pj - earlier.dynamic_pj,
-            leakage_pj: self.leakage_pj - earlier.leakage_pj,
-            events: self.events - earlier.events,
+        let mut delta = self.clone();
+        let sub = |x: &mut u64, y: u64| {
+            *x = x.checked_sub(y).expect("energy snapshots out of order");
+        };
+        zip_cells(&mut delta.dynamic, &earlier.dynamic, sub);
+        zip_cells(&mut delta.leakage, &earlier.leakage, sub);
+        if !delta.has_rates() {
+            delta.rates = earlier.rates.clone();
         }
+        delta
+    }
+}
+
+/// Apply `f(a_cell, b_cell)` to every cell the two ledgers share (rows
+/// are level-aligned from level 0).
+fn zip_cells<const N: usize>(a: &mut [[u64; N]], b: &[[u64; N]], f: impl Fn(&mut u64, u64)) {
+    for (x, &y) in a.as_flattened_mut().iter_mut().zip(b.as_flattened()) {
+        f(x, y);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn meter(model: &PowerModel) -> EnergyMeter {
+        let mut m = EnergyMeter::new();
+        m.set_rates(EnergyRates::new(model, &VfTable::four_level()));
+        m
+    }
 
     #[test]
     fn events_accumulate_scaled_energy() {
         let m = PowerModel::default_32nm();
-        let mut meter = EnergyMeter::new();
-        meter.record(&m, PowerEvent::BufferWrite, 1.0);
-        meter.record(&m, PowerEvent::LinkTraversal, 0.25);
-        assert!((meter.dynamic_pj() - (1.2 + 1.6 * 0.25)).abs() < 1e-12);
+        let table = VfTable::four_level();
+        let mut meter = meter(&m);
+        meter.record(PowerEvent::BufferWrite, 3);
+        meter.record(PowerEvent::LinkTraversal, 0);
+        let low = table.levels()[0].dynamic_scale(table.nominal_voltage());
+        assert!((meter.dynamic_pj() - (1.2 + 1.6 * low)).abs() < 1e-12);
         assert_eq!(meter.events(), 2);
+        assert_eq!(meter.dynamic_count(PowerEvent::LinkTraversal, 0), 1);
+        assert_eq!(meter.dynamic_count(PowerEvent::LinkTraversal, 3), 0);
     }
 
     #[test]
     fn leakage_accumulates_per_cycle() {
         let m = PowerModel::default_32nm();
-        let mut meter = EnergyMeter::new();
+        let mut meter = meter(&m);
         for _ in 0..10 {
-            meter.record_leakage(&m, 4, 1.0);
+            meter.record_leakage(4, 3, false);
         }
         let expected = 10.0 * (0.35 + 0.05 * 4.0);
         assert!((meter.leakage_pj() - expected).abs() < 1e-9);
         assert!((meter.total_pj() - expected).abs() < 1e-9);
+        assert_eq!(meter.leakage_count(4, 3, false), 10);
     }
 
     #[test]
@@ -206,42 +373,113 @@ mod tests {
         let gated = PowerModel::with_power_gating();
         assert_eq!(gated.idle_leakage_fraction, 0.2);
         assert_eq!(PowerModel::default_32nm().idle_leakage_fraction, 1.0);
+        let (mut busy, mut idle) = (meter(&gated), meter(&gated));
+        busy.record_leakage(2, 3, false);
+        idle.record_leakage(2, 3, true);
+        assert!((idle.leakage_pj() - 0.2 * busy.leakage_pj()).abs() < 1e-12);
+        // Without gating an idle cycle leaks the full amount, bit for bit.
+        let ungated = PowerModel::default_32nm();
+        let (mut busy, mut idle) = (meter(&ungated), meter(&ungated));
+        busy.record_leakage(2, 3, false);
+        idle.record_leakage(2, 3, true);
+        assert_eq!(idle.leakage_pj(), busy.leakage_pj());
     }
 
     #[test]
     fn lower_voltage_leaks_less() {
         let m = PowerModel::default_32nm();
-        let mut hi = EnergyMeter::new();
-        let mut lo = EnergyMeter::new();
-        hi.record_leakage(&m, 4, 1.0);
-        lo.record_leakage(&m, 4, 0.5);
+        let mut hi = meter(&m);
+        let mut lo = meter(&m);
+        hi.record_leakage(4, 3, false);
+        lo.record_leakage(4, 0, false);
         assert!(lo.leakage_pj() < hi.leakage_pj());
-        assert!((lo.leakage_pj() * 2.0 - hi.leakage_pj()).abs() < 1e-12);
+        assert!((lo.leakage_pj() * 1.1 / 0.6 - hi.leakage_pj()).abs() < 1e-12);
     }
 
     #[test]
     fn since_computes_epoch_delta() {
         let m = PowerModel::default_32nm();
+        // A snapshot taken before rates are installed still diffs.
         let mut meter = EnergyMeter::new();
-        meter.record(&m, PowerEvent::Crossbar, 1.0);
+        let empty = meter.clone();
+        meter.set_rates(EnergyRates::new(&m, &VfTable::four_level()));
+        meter.record(PowerEvent::Crossbar, 3);
         let snap = meter.clone();
-        meter.record(&m, PowerEvent::Crossbar, 1.0);
-        meter.record_leakage(&m, 0, 1.0);
+        meter.record(PowerEvent::Crossbar, 3);
+        meter.record_leakage(0, 3, false);
         let delta = meter.since(&snap);
         assert!((delta.dynamic_pj() - 0.8).abs() < 1e-12);
         assert!((delta.leakage_pj() - 0.35).abs() < 1e-12);
         assert_eq!(delta.events(), 1);
+        assert_eq!(meter.since(&empty).events(), 2);
+        assert_eq!(meter.since(&empty).total_pj(), meter.total_pj());
     }
 
     #[test]
-    fn merge_adds_components() {
+    fn merge_adds_counts() {
         let m = PowerModel::default_32nm();
-        let mut a = EnergyMeter::new();
+        let mut a = meter(&m);
         let mut b = EnergyMeter::new();
-        a.record(&m, PowerEvent::BufferRead, 1.0);
-        b.record_leakage(&m, 2, 1.0);
+        a.record(PowerEvent::BufferRead, 3);
+        b.record_leakage(2, 1, false);
+        b.record(PowerEvent::BufferRead, 3);
         a.merge(&b);
+        assert_eq!(a.events(), 2);
+        assert_eq!(a.leakage_count(2, 1, false), 1);
         assert!(a.dynamic_pj() > 0.0 && a.leakage_pj() > 0.0);
-        assert_eq!(a.events(), 1);
+        b.clear();
+        assert_eq!(b.events(), 0);
+        assert_eq!(b.leakage_count(2, 1, false), 0);
+    }
+
+    /// Conversion multiplies each count by one rate, so the ledger agrees
+    /// with an exactly rounded sum of the per-event energies, and with a
+    /// naive per-event f64 sum (the meter's former behavior) to within that
+    /// sum's own rounding drift.
+    #[test]
+    fn ledger_matches_per_event_sums_over_a_million_events() {
+        const EVENTS: usize = 1_000_000;
+        let model = PowerModel::with_power_gating();
+        let table = VfTable::four_level();
+        let nominal = table.nominal_voltage();
+        let mut meter = meter(&model);
+        let mut naive = 0.0f64;
+        // Neumaier-compensated running sum: (sum, carried error).
+        let mut compensated = (0.0f64, 0.0f64);
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..EVENTS {
+            let level = rng.gen_range(0..table.num_levels());
+            let vf = table.levels()[level];
+            let e = if rng.gen::<bool>() {
+                let event = PowerEvent::ALL[rng.gen_range(0..PowerEvent::COUNT)];
+                meter.record(event, level);
+                event.energy(&model) * vf.dynamic_scale(nominal)
+            } else {
+                let links = rng.gen_range(0..LINK_SLOTS);
+                let idle = rng.gen::<bool>();
+                meter.record_leakage(links, level, idle);
+                let mut scale = vf.leakage_scale(nominal);
+                if idle {
+                    scale *= model.idle_leakage_fraction;
+                }
+                (model.p_leak_router + model.p_leak_link * links as f64) * scale
+            };
+            naive += e;
+            let (sum, err) = compensated;
+            let t = sum + e;
+            let lost = if sum.abs() >= e {
+                (sum - t) + e
+            } else {
+                (e - t) + sum
+            };
+            compensated = (t, err + lost);
+        }
+        let total = meter.total_pj();
+        let exact = compensated.0 + compensated.1;
+        let rel = |x: f64| (total - x).abs() / x;
+        assert!(rel(exact) <= 1e-15, "ledger {total} vs exact {exact}");
+        // Recursive summation of n terms may drift up to ~n·ε relative.
+        let drift = EVENTS as f64 * f64::EPSILON;
+        assert!(rel(naive) <= drift, "ledger {total} vs naive {naive}");
     }
 }

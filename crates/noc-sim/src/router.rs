@@ -28,10 +28,9 @@
 use crate::config::SwitchArb;
 use crate::fault::LinkState;
 use crate::flit::{Flit, PacketId};
-use crate::power::PowerModel;
+use crate::power::EnergyMeter;
 use crate::routing::{RoutingAlgorithm, RoutingTables};
 use crate::soa::FabricState;
-use crate::stats::EnergySink;
 use crate::topology::{NodeId, Port, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -73,13 +72,13 @@ pub struct RouterCtx<'a> {
     pub topo: &'a Topology,
     /// Routing algorithm in force this cycle.
     pub routing: RoutingAlgorithm,
-    /// Event-energy model.
-    pub power: &'a PowerModel,
-    /// Energy accumulator — a meter on the serial path, a per-tile
-    /// [`crate::stats::StatsOp`] log inside the partitioned stepper.
-    pub energy: EnergySink<'a>,
-    /// Dynamic energy multiplier for this router's current V/F level.
-    pub dynamic_scale: f64,
+    /// Energy ledger the router counts its dynamic events into — the
+    /// collector's own on the serial path, a tile's counter block inside
+    /// the per-node phase.
+    pub energy: &'a mut EnergyMeter,
+    /// Effective V/F level of this router's region (the ledger column its
+    /// events count toward).
+    pub level: usize,
     /// Link/router liveness under the active fault set. `None` means the
     /// simulation runs without a fault plan (the common case) and route
     /// computation skips the liveness filter entirely.
@@ -200,11 +199,17 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dvfs::VfTable;
     use crate::flit::{FlitKind, Packet, PacketId};
-    use crate::power::EnergyMeter;
+    use crate::power::{EnergyRates, PowerModel};
 
-    fn ctx_parts() -> (Topology, PowerModel) {
-        (Topology::mesh(4, 4), PowerModel::default_32nm())
+    fn ctx_parts() -> (Topology, EnergyMeter) {
+        let mut meter = EnergyMeter::new();
+        meter.set_rates(EnergyRates::new(
+            &PowerModel::default_32nm(),
+            &VfTable::four_level(),
+        ));
+        (Topology::mesh(4, 4), meter)
     }
 
     fn make_flits(src: usize, dst: usize, len: u32) -> Vec<Flit> {
@@ -223,15 +228,13 @@ mod tests {
     /// deserialized router keeps routing its buffered flits.
     #[test]
     fn deserialized_router_recomputes_occupancy() {
-        let (topo, power) = ctx_parts();
-        let mut meter = EnergyMeter::new();
+        let (topo, mut meter) = ctx_parts();
         let mut r = Router::new(NodeId(0), 2, 4, false);
         let mut ctx = RouterCtx {
             topo: &topo,
             routing: RoutingAlgorithm::Xy,
-            power: &power,
-            energy: EnergySink::Meter(&mut meter),
-            dynamic_scale: 1.0,
+            energy: &mut meter,
+            level: 3,
             faults: None,
             arb: SwitchArb::PerFlit,
             tables: None,
@@ -269,15 +272,13 @@ mod tests {
     /// (RC, VA, SA on successive cycles).
     #[test]
     fn single_flit_traverses_pipeline_in_three_cycles() {
-        let (topo, power) = ctx_parts();
-        let mut meter = EnergyMeter::new();
+        let (topo, mut meter) = ctx_parts();
         let mut r = Router::new(NodeId(0), 2, 4, false);
         let mut ctx = RouterCtx {
             topo: &topo,
             routing: RoutingAlgorithm::Xy,
-            power: &power,
-            energy: EnergySink::Meter(&mut meter),
-            dynamic_scale: 1.0,
+            energy: &mut meter,
+            level: 3,
             faults: None,
             arb: SwitchArb::PerFlit,
             tables: None,
@@ -311,15 +312,13 @@ mod tests {
 
     #[test]
     fn flit_at_destination_is_ejected() {
-        let (topo, power) = ctx_parts();
-        let mut meter = EnergyMeter::new();
+        let (topo, mut meter) = ctx_parts();
         let mut r = Router::new(NodeId(5), 2, 4, false);
         let mut ctx = RouterCtx {
             topo: &topo,
             routing: RoutingAlgorithm::Xy,
-            power: &power,
-            energy: EnergySink::Meter(&mut meter),
-            dynamic_scale: 1.0,
+            energy: &mut meter,
+            level: 3,
             faults: None,
             arb: SwitchArb::PerFlit,
             tables: None,
@@ -341,15 +340,13 @@ mod tests {
 
     #[test]
     fn credits_limit_outstanding_flits() {
-        let (topo, power) = ctx_parts();
-        let mut meter = EnergyMeter::new();
+        let (topo, mut meter) = ctx_parts();
         let mut r = Router::new(NodeId(0), 1, 2, false);
         let mut ctx = RouterCtx {
             topo: &topo,
             routing: RoutingAlgorithm::Xy,
-            power: &power,
-            energy: EnergySink::Meter(&mut meter),
-            dynamic_scale: 1.0,
+            energy: &mut meter,
+            level: 3,
             faults: None,
             arb: SwitchArb::PerFlit,
             tables: None,
@@ -379,15 +376,13 @@ mod tests {
 
     #[test]
     fn tail_flit_releases_vc_ownership() {
-        let (topo, power) = ctx_parts();
-        let mut meter = EnergyMeter::new();
+        let (topo, mut meter) = ctx_parts();
         let mut r = Router::new(NodeId(0), 1, 4, false);
         let mut ctx = RouterCtx {
             topo: &topo,
             routing: RoutingAlgorithm::Xy,
-            power: &power,
-            energy: EnergySink::Meter(&mut meter),
-            dynamic_scale: 1.0,
+            energy: &mut meter,
+            level: 3,
             faults: None,
             arb: SwitchArb::PerFlit,
             tables: None,
@@ -413,15 +408,13 @@ mod tests {
 
     #[test]
     fn occupancy_tracks_buffered_flits() {
-        let (topo, power) = ctx_parts();
-        let mut meter = EnergyMeter::new();
+        let (topo, mut meter) = ctx_parts();
         let mut r = Router::new(NodeId(0), 2, 4, false);
         let mut ctx = RouterCtx {
             topo: &topo,
             routing: RoutingAlgorithm::Xy,
-            power: &power,
-            energy: EnergySink::Meter(&mut meter),
-            dynamic_scale: 1.0,
+            energy: &mut meter,
+            level: 3,
             faults: None,
             arb: SwitchArb::PerFlit,
             tables: None,
@@ -436,15 +429,13 @@ mod tests {
 
     #[test]
     fn vc_partition_restricts_allocation() {
-        let (topo, power) = ctx_parts();
-        let mut meter = EnergyMeter::new();
+        let (topo, mut meter) = ctx_parts();
         let mut r = Router::new(NodeId(0), 4, 2, true);
         let mut ctx = RouterCtx {
             topo: &topo,
             routing: RoutingAlgorithm::Xy,
-            power: &power,
-            energy: EnergySink::Meter(&mut meter),
-            dynamic_scale: 1.0,
+            energy: &mut meter,
+            level: 3,
             faults: None,
             arb: SwitchArb::PerFlit,
             tables: None,
@@ -463,15 +454,13 @@ mod tests {
 
     #[test]
     fn step_consumes_energy() {
-        let (topo, power) = ctx_parts();
-        let mut meter = EnergyMeter::new();
+        let (topo, mut meter) = ctx_parts();
         let mut r = Router::new(NodeId(0), 2, 4, false);
         let mut ctx = RouterCtx {
             topo: &topo,
             routing: RoutingAlgorithm::Xy,
-            power: &power,
-            energy: EnergySink::Meter(&mut meter),
-            dynamic_scale: 1.0,
+            energy: &mut meter,
+            level: 3,
             faults: None,
             arb: SwitchArb::PerFlit,
             tables: None,

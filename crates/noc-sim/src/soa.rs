@@ -477,8 +477,7 @@ impl FabricTile<'_> {
     /// # Panics
     /// Panics if the buffer is full (a flow-control violation).
     pub fn accept(&mut self, k: usize, port: Port, flit: Flit, ctx: &mut RouterCtx<'_>) {
-        ctx.energy
-            .record(ctx.power, PowerEvent::BufferWrite, ctx.dynamic_scale);
+        ctx.energy.record(PowerEvent::BufferWrite, ctx.level);
         let b = port.index() * self.num_vcs + flit.vc;
         self.bufs[k * self.pv + b].push(flit);
         self.occ[k] += 1;
@@ -642,12 +641,9 @@ impl FabricTile<'_> {
             if is_tail {
                 self.release(idx);
             }
-            ctx.energy
-                .record(ctx.power, PowerEvent::BufferRead, ctx.dynamic_scale);
-            ctx.energy
-                .record(ctx.power, PowerEvent::SwitchArb, ctx.dynamic_scale);
-            ctx.energy
-                .record(ctx.power, PowerEvent::Crossbar, ctx.dynamic_scale);
+            ctx.energy.record(PowerEvent::BufferRead, ctx.level);
+            ctx.energy.record(PowerEvent::SwitchArb, ctx.level);
+            ctx.energy.record(PowerEvent::Crossbar, ctx.level);
             if out_port == Port::Local {
                 events.push(RouterEvent::Eject { flit });
             } else {
@@ -688,8 +684,7 @@ impl FabricTile<'_> {
             if out_port == Port::Local {
                 // Ejection needs no downstream VC; claim slot 0 nominally.
                 self.in_out_vc[idx] = Some(0);
-                ctx.energy
-                    .record(ctx.power, PowerEvent::VcAlloc, ctx.dynamic_scale);
+                ctx.energy.record(PowerEvent::VcAlloc, ctx.level);
                 continue;
             }
             let flit = self.bufs[idx].front().expect("awaiting implies flit");
@@ -706,8 +701,7 @@ impl FabricTile<'_> {
                 self.in_out_vc[idx] = Some(ovc as u8);
                 let ptr = &mut self.va_ptr[k * Port::COUNT + op];
                 *ptr = ptr.wrapping_add(1);
-                ctx.energy
-                    .record(ctx.power, PowerEvent::VcAlloc, ctx.dynamic_scale);
+                ctx.energy.record(PowerEvent::VcAlloc, ctx.level);
             }
         }
     }
@@ -773,8 +767,7 @@ impl FabricTile<'_> {
             };
             self.in_route[idx] = Some(chosen);
             self.in_owner[idx] = Some(packet);
-            ctx.energy
-                .record(ctx.power, PowerEvent::RouteCompute, ctx.dynamic_scale);
+            ctx.energy.record(PowerEvent::RouteCompute, ctx.level);
         }
     }
 

@@ -4,7 +4,7 @@
 //! them to obtain per-epoch or per-measurement-window figures.
 
 use crate::flit::Flit;
-use crate::power::{EnergyMeter, PowerEvent, PowerModel};
+use crate::power::EnergyMeter;
 use serde::{Deserialize, Serialize};
 
 /// Serde adapter mapping non-finite floats to JSON `null` and back to NaN,
@@ -31,105 +31,6 @@ pub mod serde_nan {
 /// Upper edges (inclusive) of the latency histogram buckets, in cycles.
 /// The final bucket is open-ended.
 pub const LATENCY_BUCKETS: [u64; 12] = [8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 512, 1024];
-
-/// One deferred [`StatsCollector`] mutation, recorded by a partition tile
-/// during the parallel phase of `Network::step` and replayed serially
-/// afterwards.
-///
-/// The partitioned stepper cannot hand tiles a shared `&mut StatsCollector`,
-/// and merging per-tile accumulators would break byte-identity: float
-/// addition is not associative, so regrouping the energy sums by tile would
-/// perturb the last bits of `energy_pj`. Instead each tile appends the
-/// operations it *would* have applied, in its serial order, and the commit
-/// phase replays the logs tile by tile — reproducing the exact mutation
-/// sequence (and therefore the exact float-addition order) of a serial run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StatsOp {
-    /// One cycle of router+link leakage (`EnergyMeter::record_leakage`).
-    Leakage {
-        /// Outgoing links of the leaking router.
-        links: usize,
-        /// Leakage voltage scale (`V/V_nom`), idle gating already applied.
-        scale: f64,
-    },
-    /// One dynamic energy event (`EnergyMeter::record`).
-    Energy {
-        /// The micro-architectural event.
-        event: PowerEvent,
-        /// Dynamic voltage scale (`(V/V_nom)²`).
-        scale: f64,
-    },
-    /// A flit forwarded over an inter-router link
-    /// (`StatsCollector::record_forward`).
-    Forward {
-        /// The forwarding node.
-        node: usize,
-    },
-    /// A flit ejected at its destination (`StatsCollector::record_ejection`).
-    Eject {
-        /// The ejected flit.
-        flit: Flit,
-    },
-    /// A flit discarded by fault handling (`StatsCollector::record_drop`).
-    Drop {
-        /// The dropped flit.
-        flit: Flit,
-    },
-    /// A flit injected from a source queue
-    /// (`StatsCollector::record_injection`).
-    Injection {
-        /// DVFS region of the injecting node.
-        region: usize,
-        /// Whether the flit completes its packet.
-        is_tail: bool,
-    },
-    /// Packets discarded at a dead source
-    /// (`StatsCollector::record_source_drop`).
-    SourceDrop {
-        /// Dropped packets.
-        packets: u64,
-        /// Dropped flits (including never-injected ones).
-        flits: u64,
-    },
-    /// A run of consecutive idle routers, nodes `from..to`, each owing one
-    /// cycle of leakage. The worklist stepper coalesces skipped routers into
-    /// runs (two words instead of one `Leakage` op per idle node); the
-    /// commit phase expands the run itself — it needs each node's region
-    /// leakage scale and link count, which only the network layer holds — so
-    /// this op never reaches [`StatsCollector::apply`].
-    IdleLeakageRun {
-        /// First node of the run (inclusive).
-        from: usize,
-        /// One past the last node of the run.
-        to: usize,
-    },
-}
-
-/// Where a router records its energy events: straight into an
-/// [`EnergyMeter`] (the serial path — deliveries, unit tests), or into a
-/// per-tile [`StatsOp`] log for deferred serial replay (the partitioned
-/// `Network::step`).
-#[derive(Debug)]
-pub enum EnergySink<'a> {
-    /// Record directly into the meter.
-    Meter(&'a mut EnergyMeter),
-    /// Append to a tile's operation log for later replay.
-    Log(&'a mut Vec<StatsOp>),
-}
-
-impl EnergySink<'_> {
-    /// Record one dynamic event (see [`EnergyMeter::record`]).
-    #[inline]
-    pub fn record(&mut self, model: &PowerModel, event: PowerEvent, dynamic_scale: f64) {
-        match self {
-            EnergySink::Meter(m) => m.record(model, event, dynamic_scale),
-            EnergySink::Log(log) => log.push(StatsOp::Energy {
-                event,
-                scale: dynamic_scale,
-            }),
-        }
-    }
-}
 
 /// Block length (cycles) of the injection-burstiness estimator: offered
 /// packets are aggregated per block, and the index of dispersion of the
@@ -212,10 +113,11 @@ pub struct StatsCollector {
     pub sum_backlog: f64,
     /// Cycles sampled (denominator for the occupancy/backlog means).
     pub sampled_cycles: u64,
-    /// Energy accumulated by routers and links.
+    /// Energy counted by routers and links (converted to pJ when read).
     pub energy: EnergyMeter,
     /// Flits forwarded (link traversals) per node, for utilization maps.
-    /// Empty until the first forward is recorded.
+    /// Empty until the first forward is recorded or the network first
+    /// steps.
     pub node_forwarded: Vec<u64>,
     /// Latency window: only packets with `created_at` in `[start, end)` feed
     /// the latency sums. Defaults to all packets.
@@ -445,22 +347,38 @@ impl StatsCollector {
         }
     }
 
-    /// Replay one deferred [`StatsOp`] exactly as the serial stepper would
-    /// have applied it: `power` and `cycle` are the power model and the cycle
-    /// the op was logged in, `num_nodes` sizes the forward map on demand.
-    pub fn apply(&mut self, op: StatsOp, power: &PowerModel, num_nodes: usize, cycle: u64) {
-        match op {
-            StatsOp::Leakage { links, scale } => self.energy.record_leakage(power, links, scale),
-            StatsOp::Energy { event, scale } => self.energy.record(power, event, scale),
-            StatsOp::Forward { node } => self.record_forward(node, num_nodes),
-            StatsOp::Eject { flit } => self.record_ejection(&flit, cycle),
-            StatsOp::Drop { flit } => self.record_drop(&flit),
-            StatsOp::Injection { region, is_tail } => self.record_injection(region, is_tail),
-            StatsOp::SourceDrop { packets, flits } => self.record_source_drop(packets, flits),
-            StatsOp::IdleLeakageRun { .. } => {
-                unreachable!("idle-leakage runs are expanded by the network commit phase")
-            }
+    /// Fold a partition tile's per-cycle counter block into this collector
+    /// and zero the block for the next cycle. The block holds only what the
+    /// per-node phase records — injections, ejections and their latency
+    /// sums, drops and energy — and all of it is counts or integer-valued
+    /// sums, so folding blocks in any grouping gives the same bits.
+    pub(crate) fn absorb(&mut self, block: &mut StatsCollector) {
+        use std::mem::take;
+        self.injected_flits += take(&mut block.injected_flits);
+        self.injected_packets += take(&mut block.injected_packets);
+        self.ejected_flits += take(&mut block.ejected_flits);
+        self.ejected_packets += take(&mut block.ejected_packets);
+        self.dropped_flits += take(&mut block.dropped_flits);
+        self.dropped_packets += take(&mut block.dropped_packets);
+        self.latency_samples += take(&mut block.latency_samples);
+        self.sum_packet_latency += take(&mut block.sum_packet_latency);
+        self.sum_network_latency += take(&mut block.sum_network_latency);
+        self.sum_hops += take(&mut block.sum_hops);
+        self.max_packet_latency = self
+            .max_packet_latency
+            .max(take(&mut block.max_packet_latency));
+        for (acc, b) in self.latency_hist.iter_mut().zip(&mut block.latency_hist) {
+            *acc += take(b);
         }
+        for (acc, b) in self
+            .region_injected_flits
+            .iter_mut()
+            .zip(&mut block.region_injected_flits)
+        {
+            *acc += take(b);
+        }
+        self.energy.merge(&block.energy);
+        block.energy.clear();
     }
 
     /// Take a snapshot of all monotone counters for later diffing.

@@ -3,10 +3,12 @@
 use noc_sim::arbiter::RoundRobinArbiter;
 use noc_sim::dvfs::ClockGate;
 use noc_sim::flit::PacketId;
+use noc_sim::power::LINK_SLOTS;
 use noc_sim::routing::walk_route;
 use noc_sim::{
-    InjectionProcess, NodeId, Packet, RoutingAlgorithm, SimConfig, Simulator, StatsCollector,
-    Topology, TopologyKind, TrafficPattern, WorkloadPhase, WorkloadSpec,
+    EnergyMeter, EnergyRates, InjectionProcess, NodeId, Packet, PowerEvent, PowerModel,
+    RoutingAlgorithm, SimConfig, Simulator, StatsCollector, Topology, TopologyKind, TrafficPattern,
+    VfTable, WorkloadPhase, WorkloadSpec,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -56,6 +58,52 @@ fn arb_workload(seed: u64) -> WorkloadSpec {
         })
         .collect();
     WorkloadSpec::new(phases)
+}
+
+/// One energy-ledger record: a dynamic event at a level, or a leakage
+/// router-cycle for (links, level, idle).
+#[derive(Debug, Clone, Copy)]
+enum EnergyRecord {
+    Dynamic(PowerEvent, usize),
+    Leakage(usize, usize, bool),
+}
+
+fn record(meter: &mut EnergyMeter, rec: EnergyRecord) {
+    match rec {
+        EnergyRecord::Dynamic(event, level) => meter.record(event, level),
+        EnergyRecord::Leakage(links, level, idle) => meter.record_leakage(links, level, idle),
+    }
+}
+
+/// A meter holding `recs`, converting with `rates`.
+fn ledger_of(rates: &EnergyRates, recs: &[EnergyRecord]) -> EnergyMeter {
+    let mut meter = EnergyMeter::new();
+    meter.set_rates(rates.clone());
+    for &rec in recs {
+        record(&mut meter, rec);
+    }
+    meter
+}
+
+/// Every count of the two ledgers, and the bit patterns of their pJ
+/// readings, are equal.
+fn assert_same_ledger(a: &EnergyMeter, b: &EnergyMeter, levels: usize) {
+    for level in 0..levels {
+        for event in PowerEvent::ALL {
+            assert_eq!(a.dynamic_count(event, level), b.dynamic_count(event, level));
+        }
+        for links in 0..LINK_SLOTS {
+            for idle in [false, true] {
+                assert_eq!(
+                    a.leakage_count(links, level, idle),
+                    b.leakage_count(links, level, idle)
+                );
+            }
+        }
+    }
+    assert_eq!(a.dynamic_pj().to_bits(), b.dynamic_pj().to_bits());
+    assert_eq!(a.leakage_pj().to_bits(), b.leakage_pj().to_bits());
+    assert_eq!(a.total_pj().to_bits(), b.total_pj().to_bits());
 }
 
 proptest! {
@@ -195,6 +243,56 @@ proptest! {
                 prop_assert!(*occ <= cap);
             }
         }
+    }
+
+    /// Energy is counted, so it merges exactly. A random stream of dynamic
+    /// and leakage records at random levels, dealt into 1–4 blocks in any
+    /// grouping and merged in any order, gives the counts and the pJ bit
+    /// patterns of one serial ledger. And `since` at any split point —
+    /// against a snapshot taken before rates were installed, as a
+    /// simulator's first snapshot is — equals a ledger of the later
+    /// records alone.
+    #[test]
+    fn energy_ledger_merges_exactly(seed in 0u64..1_000_000, len in 0usize..400, blocks in 1usize..5) {
+        let table = VfTable::four_level();
+        let levels = table.num_levels();
+        let rates = EnergyRates::new(&PowerModel::with_power_gating(), &table);
+        let mut r = StdRng::seed_from_u64(seed);
+        let recs: Vec<EnergyRecord> = (0..len)
+            .map(|_| {
+                let level = r.gen_range(0..levels);
+                if r.gen::<bool>() {
+                    EnergyRecord::Dynamic(PowerEvent::ALL[r.gen_range(0..PowerEvent::COUNT)], level)
+                } else {
+                    EnergyRecord::Leakage(r.gen_range(0..LINK_SLOTS), level, r.gen::<bool>())
+                }
+            })
+            .collect();
+        let serial = ledger_of(&rates, &recs);
+
+        let mut parts: Vec<EnergyMeter> = (0..blocks).map(|_| EnergyMeter::new()).collect();
+        for &rec in &recs {
+            record(&mut parts[r.gen_range(0..blocks)], rec);
+        }
+        let mut merged = ledger_of(&rates, &[]);
+        while !parts.is_empty() {
+            let part = parts.swap_remove(r.gen_range(0..parts.len()));
+            merged.merge(&part);
+        }
+        assert_same_ledger(&merged, &serial, levels);
+
+        let split = r.gen_range(0..=len);
+        let mut running = EnergyMeter::new();
+        for &rec in &recs[..split] {
+            record(&mut running, rec);
+        }
+        let snapshot = running.clone();
+        running.set_rates(rates.clone());
+        for &rec in &recs[split..] {
+            record(&mut running, rec);
+        }
+        assert_same_ledger(&running, &serial, levels);
+        assert_same_ledger(&running.since(&snapshot), &ledger_of(&rates, &recs[split..]), levels);
     }
 }
 

@@ -147,7 +147,7 @@ fn idle_heavy_16x16_golden_metrics() {
     );
     assert_eq!(
         lazy.energy.total_pj(),
-        274_296.90000029386,
+        274_296.9,
         "idle-heavy 16x16 energy drifted"
     );
     let full = run_mode(&cfg, 1, true, None, 1_000);

@@ -215,7 +215,7 @@ fn multi_flit_4x4_perpacket_golden_metrics() {
     );
     assert_eq!(
         s.energy.total_pj(),
-        66_608.74999998449,
+        66_608.75,
         "multi-flit 4x4 per-packet energy drifted"
     );
     for partitions in [2usize, 4] {
