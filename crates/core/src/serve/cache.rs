@@ -37,12 +37,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Bumped whenever the cached artifact's schema or the key derivation
 /// changes; part of the hashed text, so stale on-disk entries from older
 /// layouts simply miss instead of deserializing wrongly.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// A content-addressed cache key: 128 bits of FNV-1a over the scenario's
 /// canonical identity, rendered as 32 hex digits (also the on-disk file
@@ -262,9 +262,9 @@ impl ResultCache {
     ///
     /// Lookup order: memory index → on-disk store → `compute`. While one
     /// thread computes, other callers of the same key block and reuse its
-    /// result ([`CacheOutcome::Coalesced`]); if the computation fails, one
-    /// waiter is promoted to retry and the error is returned to the
-    /// original caller only.
+    /// result ([`CacheOutcome::Coalesced`]); if the computation fails or
+    /// panics, one waiter is promoted to retry and the error (or panic)
+    /// reaches the original caller only.
     ///
     /// # Errors
     /// Propagates `compute`'s error (cache tiers never fail a lookup).
@@ -296,37 +296,48 @@ impl ResultCache {
                 waited = true;
             }
         }
-        // This thread owns the in-flight slot; make sure it is released on
-        // every exit path (including compute errors).
+        // This thread owns the in-flight slot until `_flight` drops, which
+        // releases it on every exit path: results, errors and panics.
+        let _flight = Flight { cache: self, key };
         if let Some(result) = self.load_disk(key) {
-            self.finish(key, &result);
+            self.publish(key, &result);
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
             return Ok((result, CacheOutcome::DiskHit));
         }
-        match compute() {
-            Ok(result) => {
-                self.store_disk(key, &result);
-                self.finish(key, &result);
-                self.computed.fetch_add(1, Ordering::Relaxed);
-                Ok((result, CacheOutcome::Computed))
-            }
-            Err(e) => {
-                // Release the slot so a waiter can retry; wake them all.
-                let mut index = self.index.lock().expect("cache index poisoned");
-                index.inflight.remove(key.as_str());
-                drop(index);
-                self.flight_cv.notify_all();
-                Err(e)
-            }
-        }
+        let result = compute()?;
+        self.store_disk(key, &result);
+        self.publish(key, &result);
+        self.computed.fetch_add(1, Ordering::Relaxed);
+        Ok((result, CacheOutcome::Computed))
     }
 
-    /// Publish a finished result and wake single-flight waiters.
-    fn finish(&self, key: &CacheKey, result: &ScenarioResult) {
+    /// Record a finished result for later lookups (its flight's release
+    /// wakes the waiters).
+    fn publish(&self, key: &CacheKey, result: &ScenarioResult) {
         let mut index = self.index.lock().expect("cache index poisoned");
-        index.inflight.remove(key.as_str());
         index.done.insert(key.as_str().to_string(), result.clone());
+    }
+}
+
+/// Ownership of one key's in-flight slot. Dropping it frees the slot and
+/// wakes every waiter: each finds the published result, or, when the flight
+/// failed or panicked, one of them claims the slot and computes.
+struct Flight<'a> {
+    cache: &'a ResultCache,
+    key: &'a CacheKey,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        // Runs during unwinding too, so a poisoned lock must not panic
+        // here. The index stays consistent: no caller code runs under it.
+        let mut index = self
+            .cache
+            .index
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        index.inflight.remove(self.key.as_str());
         drop(index);
-        self.flight_cv.notify_all();
+        self.cache.flight_cv.notify_all();
     }
 }

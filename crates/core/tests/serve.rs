@@ -201,6 +201,33 @@ fn failed_computation_releases_the_flight_and_allows_retry() {
     assert_eq!(result.label, scenario.label);
 }
 
+/// A panicking computation must not wedge its key: the flight is released
+/// while the panic unwinds, so the next lookup on another thread computes
+/// instead of waiting forever.
+#[test]
+fn panicking_computation_releases_the_flight() {
+    let cache = Arc::new(ResultCache::in_memory());
+    let grid = tiny_grid();
+    let scenario = grid.scenarios().remove(0);
+    let key = scenario_cache_key(&scenario, grid.warmup, grid.measure, grid.drain);
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        cache.get_or_compute(&key, || panic!("scenario blew up"))
+    }));
+    assert!(unwound.is_err(), "the panic reaches the flight's owner");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let retry = Arc::clone(&cache);
+    std::thread::spawn(move || {
+        let _ = tx.send(retry.get_or_compute(&key, || grid.run_scenario(&scenario)));
+    });
+    let (result, outcome) = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("second lookup wedged behind the panicked flight")
+        .expect("retry succeeds");
+    assert_eq!(outcome, CacheOutcome::Computed);
+    assert_eq!(cache.stats().computed, 1);
+    assert!(!result.label.is_empty());
+}
+
 #[test]
 fn unwritable_cache_dir_is_rejected_at_open() {
     // A regular file where the directory should be: creation fails.
