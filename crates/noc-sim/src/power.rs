@@ -416,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts() {
+    fn merge_adds_components() {
         let m = PowerModel::default_32nm();
         let mut a = meter(&m);
         let mut b = EnergyMeter::new();
