@@ -127,17 +127,24 @@ impl PowerEvent {
 /// the link axis of the leakage ledger.
 pub const LINK_SLOTS: usize = 5;
 
-/// Dynamic-event counts of one V/F level, indexed by `PowerEvent as usize`.
-type DynamicRow<T> = [T; PowerEvent::COUNT];
+/// Ledger cells per V/F level: one per dynamic event kind, then one per
+/// (outgoing links, idle) leakage pair.
+const CELLS_PER_LEVEL: usize = PowerEvent::COUNT + 2 * LINK_SLOTS;
 
-/// Leakage router-cycles of one V/F level, indexed by
-/// [`leakage_index`]`(links, idle)`.
-type LeakageRow<T> = [T; 2 * LINK_SLOTS];
+/// Cells of a level that count dynamic events.
+const DYNAMIC: std::ops::Range<usize> = 0..PowerEvent::COUNT;
 
-/// Position of the (outgoing links, idle) cell within a leakage row.
+/// Cells of a level that count leakage router-cycles.
+const LEAKAGE: std::ops::Range<usize> = PowerEvent::COUNT..CELLS_PER_LEVEL;
+
 #[inline]
-fn leakage_index(num_links: usize, idle: bool) -> usize {
-    2 * num_links + idle as usize
+fn dynamic_cell(event: PowerEvent, level: usize) -> usize {
+    level * CELLS_PER_LEVEL + event as usize
+}
+
+#[inline]
+fn leakage_cell(num_links: usize, level: usize, idle: bool) -> usize {
+    level * CELLS_PER_LEVEL + PowerEvent::COUNT + 2 * num_links + idle as usize
 }
 
 /// The energy of one unit of every [`EnergyMeter`] cell, in pJ, derived from
@@ -145,8 +152,7 @@ fn leakage_index(num_links: usize, idle: bool) -> usize {
 /// the collector it steps; the meter applies them only when read.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EnergyRates {
-    dynamic: Vec<DynamicRow<f64>>,
-    leakage: Vec<LeakageRow<f64>>,
+    pj: Vec<f64>,
 }
 
 impl EnergyRates {
@@ -155,23 +161,18 @@ impl EnergyRates {
     /// times `V/V_nom`, and an idle one only `idle_leakage_fraction` of it.
     pub fn new(model: &PowerModel, table: &VfTable) -> Self {
         let nominal = table.nominal_voltage();
-        let levels = table.levels();
-        let dynamic = levels
-            .iter()
-            .map(|l| PowerEvent::ALL.map(|e| e.energy(model) * l.dynamic_scale(nominal)))
-            .collect();
-        let leakage = levels
-            .iter()
-            .map(|l| {
-                let scale = l.leakage_scale(nominal);
-                let idle_scale = scale * model.idle_leakage_fraction;
-                std::array::from_fn(|i| {
-                    let p = model.p_leak_router + model.p_leak_link * (i / 2) as f64;
-                    p * if i % 2 == 1 { idle_scale } else { scale }
-                })
-            })
-            .collect();
-        EnergyRates { dynamic, leakage }
+        let mut pj = Vec::with_capacity(table.num_levels() * CELLS_PER_LEVEL);
+        for level in table.levels() {
+            let dynamic = level.dynamic_scale(nominal);
+            pj.extend(PowerEvent::ALL.map(|e| e.energy(model) * dynamic));
+            let busy = level.leakage_scale(nominal);
+            let idle = busy * model.idle_leakage_fraction;
+            for links in 0..LINK_SLOTS {
+                let p = model.p_leak_router + model.p_leak_link * links as f64;
+                pj.extend([p * busy, p * idle]);
+            }
+        }
+        EnergyRates { pj }
     }
 }
 
@@ -185,8 +186,7 @@ impl EnergyRates {
 /// [`EnergyRates`] entry.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EnergyMeter {
-    dynamic: Vec<DynamicRow<u64>>,
-    leakage: Vec<LeakageRow<u64>>,
+    counts: Vec<u64>,
     rates: EnergyRates,
 }
 
@@ -203,23 +203,23 @@ impl EnergyMeter {
 
     /// Whether rates have been installed.
     pub fn has_rates(&self) -> bool {
-        !self.rates.dynamic.is_empty()
+        !self.rates.pj.is_empty()
     }
 
-    /// Make room for counts at `level`.
+    /// Add one to `cell`, growing the ledger by whole levels as needed.
     #[inline]
-    fn reserve_level(&mut self, level: usize) {
-        if level >= self.dynamic.len() {
-            self.dynamic.resize(level + 1, [0; PowerEvent::COUNT]);
-            self.leakage.resize(level + 1, [0; 2 * LINK_SLOTS]);
+    fn bump(&mut self, cell: usize) {
+        if cell >= self.counts.len() {
+            self.counts
+                .resize((cell / CELLS_PER_LEVEL + 1) * CELLS_PER_LEVEL, 0);
         }
+        self.counts[cell] += 1;
     }
 
     /// Count one dynamic event at V/F level `level`.
     #[inline]
     pub fn record(&mut self, event: PowerEvent, level: usize) {
-        self.reserve_level(level);
-        self.dynamic[level][event as usize] += 1;
+        self.bump(dynamic_cell(event, level));
     }
 
     /// Count one global cycle of leakage for a router with `num_links`
@@ -227,33 +227,40 @@ impl EnergyMeter {
     /// and source queue) may be power gated.
     #[inline]
     pub fn record_leakage(&mut self, num_links: usize, level: usize, idle: bool) {
-        self.reserve_level(level);
-        self.leakage[level][leakage_index(num_links, idle)] += 1;
+        self.bump(leakage_cell(num_links, level, idle));
     }
 
     /// Dynamic events of kind `event` counted at `level`.
     pub fn dynamic_count(&self, event: PowerEvent, level: usize) -> u64 {
-        self.dynamic.get(level).map_or(0, |row| row[event as usize])
+        self.counts
+            .get(dynamic_cell(event, level))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Leakage router-cycles counted for (`num_links`, `level`, `idle`).
     pub fn leakage_count(&self, num_links: usize, level: usize, idle: bool) -> u64 {
-        self.leakage
-            .get(level)
-            .map_or(0, |row| row[leakage_index(num_links, idle)])
+        self.counts
+            .get(leakage_cell(num_links, level, idle))
+            .copied()
+            .unwrap_or(0)
     }
 
-    /// Σ count × rate over the cells of one ledger, level by level.
-    fn convert<const N: usize>(counts: &[[u64; N]], rates: &[[f64; N]]) -> f64 {
+    /// Σ count × rate over the `cells` of every level, level by level.
+    fn convert(&self, cells: std::ops::Range<usize>) -> f64 {
         let mut pj = 0.0;
-        for (level, row) in counts.iter().enumerate() {
-            if row.iter().all(|&c| c == 0) {
+        for (level, counts) in self.counts.chunks_exact(CELLS_PER_LEVEL).enumerate() {
+            let counts = &counts[cells.clone()];
+            if counts.iter().all(|&c| c == 0) {
                 continue;
             }
-            let rate = rates
-                .get(level)
+            let base = level * CELLS_PER_LEVEL;
+            let rates = self
+                .rates
+                .pj
+                .get(base + cells.start..base + cells.end)
                 .unwrap_or_else(|| panic!("energy counted at level {level} without rates"));
-            for (&c, &r) in row.iter().zip(rate) {
+            for (&c, &r) in counts.iter().zip(rates) {
                 pj += c as f64 * r;
             }
         }
@@ -262,12 +269,12 @@ impl EnergyMeter {
 
     /// Total dynamic energy (pJ).
     pub fn dynamic_pj(&self) -> f64 {
-        Self::convert(&self.dynamic, &self.rates.dynamic)
+        self.convert(DYNAMIC)
     }
 
     /// Total leakage energy (pJ).
     pub fn leakage_pj(&self) -> f64 {
-        Self::convert(&self.leakage, &self.rates.leakage)
+        self.convert(LEAKAGE)
     }
 
     /// Total energy (pJ).
@@ -277,17 +284,21 @@ impl EnergyMeter {
 
     /// Number of dynamic events recorded.
     pub fn events(&self) -> u64 {
-        self.dynamic.iter().flatten().sum()
+        self.counts
+            .chunks_exact(CELLS_PER_LEVEL)
+            .flat_map(|level| &level[DYNAMIC])
+            .sum()
     }
 
     /// Add another meter's counts to this one (taking its rates if this
     /// meter has none).
     pub fn merge(&mut self, other: &EnergyMeter) {
-        if let Some(top) = other.dynamic.len().checked_sub(1) {
-            self.reserve_level(top);
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
         }
-        zip_cells(&mut self.dynamic, &other.dynamic, |x, y| *x += y);
-        zip_cells(&mut self.leakage, &other.leakage, |x, y| *x += y);
+        for (x, y) in self.counts.iter_mut().zip(&other.counts) {
+            *x += y;
+        }
         if !self.has_rates() {
             self.rates = other.rates.clone();
         }
@@ -295,8 +306,7 @@ impl EnergyMeter {
 
     /// Zero every count, keeping the rates.
     pub fn clear(&mut self) {
-        self.dynamic.fill([0; PowerEvent::COUNT]);
-        self.leakage.fill([0; 2 * LINK_SLOTS]);
+        self.counts.fill(0);
     }
 
     /// Difference `self - earlier`, for per-epoch accounting. The result
@@ -309,23 +319,13 @@ impl EnergyMeter {
     /// the snapshots were taken out of order.
     pub fn since(&self, earlier: &EnergyMeter) -> EnergyMeter {
         let mut delta = self.clone();
-        let sub = |x: &mut u64, y: u64| {
-            *x = x.checked_sub(y).expect("energy snapshots out of order");
-        };
-        zip_cells(&mut delta.dynamic, &earlier.dynamic, sub);
-        zip_cells(&mut delta.leakage, &earlier.leakage, sub);
+        for (x, y) in delta.counts.iter_mut().zip(&earlier.counts) {
+            *x = x.checked_sub(*y).expect("energy snapshots out of order");
+        }
         if !delta.has_rates() {
             delta.rates = earlier.rates.clone();
         }
         delta
-    }
-}
-
-/// Apply `f(a_cell, b_cell)` to every cell the two ledgers share (rows
-/// are level-aligned from level 0).
-fn zip_cells<const N: usize>(a: &mut [[u64; N]], b: &[[u64; N]], f: impl Fn(&mut u64, u64)) {
-    for (x, &y) in a.as_flattened_mut().iter_mut().zip(b.as_flattened()) {
-        f(x, y);
     }
 }
 
