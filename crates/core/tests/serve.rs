@@ -216,13 +216,14 @@ fn panicking_computation_releases_the_flight() {
     assert!(unwound.is_err(), "the panic reaches the flight's owner");
     let (tx, rx) = std::sync::mpsc::channel();
     let retry = Arc::clone(&cache);
-    std::thread::spawn(move || {
+    let handle = std::thread::spawn(move || {
         let _ = tx.send(retry.get_or_compute(&key, || grid.run_scenario(&scenario)));
     });
     let (result, outcome) = rx
         .recv_timeout(Duration::from_secs(5))
         .expect("second lookup wedged behind the panicked flight")
         .expect("retry succeeds");
+    handle.join().expect("retry thread finishes");
     assert_eq!(outcome, CacheOutcome::Computed);
     assert_eq!(cache.stats().computed, 1);
     assert!(!result.label.is_empty());

@@ -1214,6 +1214,11 @@ mod tests {
         assert_eq!(net.in_flight(), 0);
         // XY route (0,0)->(3,3) is 6 hops; tail latency covers pipeline depth.
         assert!(stats.sum_hops as u32 >= 6);
+        assert_eq!(
+            stats.node_forwarded.iter().sum::<u64>(),
+            5 * 6,
+            "every flit-hop is counted at its sender"
+        );
         assert!(stats.avg_packet_latency() >= 6.0);
     }
 

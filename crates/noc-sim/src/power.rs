@@ -202,7 +202,7 @@ impl EnergyMeter {
     }
 
     /// Whether rates have been installed.
-    pub fn has_rates(&self) -> bool {
+    pub(crate) fn has_rates(&self) -> bool {
         !self.rates.pj.is_empty()
     }
 
@@ -225,8 +225,12 @@ impl EnergyMeter {
     /// Count one global cycle of leakage for a router with `num_links`
     /// outgoing links at V/F level `level`; `idle` routers (empty buffers
     /// and source queue) may be power gated.
+    ///
+    /// # Panics
+    /// Panics if `num_links` is not below [`LINK_SLOTS`].
     #[inline]
     pub fn record_leakage(&mut self, num_links: usize, level: usize, idle: bool) {
+        assert!(num_links < LINK_SLOTS, "{num_links} outgoing links");
         self.bump(leakage_cell(num_links, level, idle));
     }
 
@@ -305,7 +309,7 @@ impl EnergyMeter {
     }
 
     /// Zero every count, keeping the rates.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.counts.fill(0);
     }
 

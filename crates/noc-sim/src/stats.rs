@@ -116,8 +116,7 @@ pub struct StatsCollector {
     /// Energy counted by routers and links (converted to pJ when read).
     pub energy: EnergyMeter,
     /// Flits forwarded (link traversals) per node, for utilization maps.
-    /// Empty until the first forward is recorded or the network first
-    /// steps.
+    /// Empty until the network first steps.
     pub node_forwarded: Vec<u64>,
     /// Latency window: only packets with `created_at` in `[start, end)` feed
     /// the latency sums. Defaults to all packets.
@@ -158,14 +157,6 @@ impl StatsCollector {
             node_forwarded: Vec::new(),
             window: (0, u64::MAX),
         }
-    }
-
-    /// Record a flit leaving `node` over an inter-router link.
-    pub fn record_forward(&mut self, node: usize, num_nodes: usize) {
-        if self.node_forwarded.len() < num_nodes {
-            self.node_forwarded.resize(num_nodes, 0);
-        }
-        self.node_forwarded[node] += 1;
     }
 
     /// Render an ASCII heat map of per-node link utilization for a
@@ -656,15 +647,11 @@ mod tests {
     fn forward_counts_build_a_heatmap() {
         let mut s = StatsCollector::new(1);
         assert_eq!(s.utilization_heatmap(2, 2), "");
-        for _ in 0..10 {
-            s.record_forward(0, 4);
-        }
-        s.record_forward(3, 4);
+        s.node_forwarded = vec![10, 0, 0, 1];
         let map = s.utilization_heatmap(2, 2);
         assert_eq!(map.lines().count(), 2);
         assert!(map.starts_with('█'), "busiest node renders solid: {map}");
         assert!(map.contains('.'), "idle nodes render dots");
-        assert_eq!(s.node_forwarded, vec![10, 0, 0, 1]);
     }
 
     #[test]
