@@ -23,7 +23,7 @@
 //! [`crate::soa::FabricState`] for every router and steps contiguous tile
 //! slices of it. This module keeps the event/context types and [`Router`], a
 //! single-router convenience wrapper (a one-router fabric) used by unit tests
-//! and microbenchmarks that exercise the pipeline in isolation.
+//! that exercise the pipeline in isolation.
 
 use crate::config::SwitchArb;
 use crate::fault::LinkState;
@@ -94,7 +94,7 @@ pub struct RouterCtx<'a> {
 
 /// A single wormhole VC router: a one-router [`FabricState`] plus its node
 /// id. The network layer steps the fabric directly; this wrapper exists for
-/// tests and benches that drive one router's pipeline in isolation.
+/// tests that drive one router's pipeline in isolation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Router {
     id: NodeId,
